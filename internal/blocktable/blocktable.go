@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/adler32"
 
 	"repro/internal/geom"
 )
@@ -199,7 +200,7 @@ func (t *Table) Entries() []Entry {
 // whole number of sectors.
 //
 //	header:  magic u32 | version u16 | blockSectors u16 | count u32 |
-//	         checksum u32 (over generation + entries) | generation u64
+//	         checksum u32 (Adler-32 over generation + entries) | generation u64
 //	entry:   orig u64 | new u64 | flags u16
 //
 // The checksum covers the generation stamp and the entry bytes, so a
@@ -272,7 +273,7 @@ func (t *Table) EncodeTo(dst []byte) []byte {
 		}
 		be.PutUint16(buf[o+16:], flags)
 	}
-	be.PutUint32(buf[offHdrCksum:], crc(buf[offHdrGen:used]))
+	be.PutUint32(buf[offHdrCksum:], adler32.Checksum(buf[offHdrGen:used]))
 	return buf
 }
 
@@ -300,7 +301,7 @@ func Decode(buf []byte) (*Table, error) {
 		return nil, fmt.Errorf("blocktable: image of %d bytes holds fewer than %d entries", len(buf), count)
 	}
 	need := headerSize + count*entrySize
-	if crc(buf[offHdrGen:need]) != be.Uint32(buf[offHdrCksum:]) {
+	if adler32.Checksum(buf[offHdrGen:need]) != be.Uint32(buf[offHdrCksum:]) {
 		return nil, ErrBadChecksum
 	}
 	t := New(geom.BlockSize(blkSec * geom.SectorSize))
@@ -329,28 +330,4 @@ func RecoverDecode(buf []byte) (*Table, error) {
 	}
 	t.MarkAllDirty()
 	return t, nil
-}
-
-// crc is a simple 32-bit checksum (Fletcher-style) over the entry bytes.
-// The modulo is deferred across runs of up to 5552 bytes — the largest
-// run for which the b accumulator provably cannot overflow uint32 (the
-// same bound Adler-32 uses) — which produces the exact residues of the
-// per-byte form at a fraction of the cost. The driver checksums the
-// whole table image once per block movement, so this is warm code.
-func crc(data []byte) uint32 {
-	var a, b uint32 = 1, 0
-	for len(data) > 0 {
-		run := data
-		if len(run) > 5552 {
-			run = run[:5552]
-		}
-		for _, c := range run {
-			a += uint32(c)
-			b += a
-		}
-		a %= 65521
-		b %= 65521
-		data = data[len(run):]
-	}
-	return b<<16 | a
 }

@@ -277,6 +277,34 @@ func (c *Cache) WriteOwned(block int64, data []byte, done func(err error)) {
 	c.deliverWrite(done)
 }
 
+// Touch marks a resident block dirty exactly as WriteOwned of its
+// current contents would: same dirty state, LRU order, write-back and
+// completion event, but without a new buffer. It returns false, doing
+// nothing, when the block is not resident; the caller then has to
+// supply the contents through WriteOwned. The file system uses it for
+// access-time updates, which change no byte of the inode encoding.
+func (c *Cache) Touch(block int64, done func(err error)) bool {
+	el, ok := c.entries[block]
+	if !ok {
+		return false
+	}
+	el.Value.(*entry).dirty = true
+	c.lru.MoveToFront(el)
+	c.deliverWrite(done)
+	return true
+}
+
+// Peek returns the cached contents of a resident block without counting
+// a hit or changing the LRU order, for invariant checks. The slice is
+// the cache's copy and must not be modified.
+func (c *Cache) Peek(block int64) ([]byte, bool) {
+	el, ok := c.entries[block]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*entry).data, true
+}
+
 // WriteThrough updates the block in the cache (kept clean) and writes it
 // to disk immediately; done fires when the disk write completes. NFS2
 // servers wrote client data synchronously, so the users-workload

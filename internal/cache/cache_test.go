@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/rig"
@@ -360,5 +361,123 @@ func TestDeferredWriteZeroAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, op); n != 0 {
 		t.Errorf("deferred write round trip: %v allocs, want 0", n)
+	}
+}
+
+// lruBlocks lists the cached blocks, most recently used first, with
+// their dirty bits.
+func lruBlocks(c *Cache) []entry {
+	var out []entry
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		out = append(out, entry{block: e.block, dirty: e.dirty})
+	}
+	return out
+}
+
+// TestTouchMatchesWriteOwned runs the same history on two caches, then
+// touches a resident clean block in one and rewrites it with its own
+// contents through WriteOwned in the other. Dirty state, LRU order,
+// write-backs, the completion time and the engine's event count must
+// agree, now and after an eviction and a sync; Touch keeps the buffer.
+func TestTouchMatchesWriteOwned(t *testing.T) {
+	type side struct {
+		r     *rig.Rig
+		c     *Cache
+		doneT float64
+	}
+	setup := func() *side {
+		r, c := newRig(t)
+		for b := int64(1); b <= 4; b++ {
+			c.WriteOwned(b, block(r, byte(b)), nil)
+		}
+		c.Sync(nil)
+		r.Eng.Run()
+		c.Read(3, nil)
+		c.Read(1, nil)
+		r.Eng.Run()
+		return &side{r: r, c: c, doneT: -1}
+	}
+	touched, written := setup(), setup()
+	before, _ := touched.c.Peek(2)
+	if !touched.c.Touch(2, func(err error) {
+		if err != nil {
+			t.Errorf("touch: %v", err)
+		}
+		touched.doneT = touched.r.Eng.Now()
+	}) {
+		t.Fatal("Touch of a resident block returned false")
+	}
+	written.c.WriteOwned(2, block(written.r, 2), func(error) { written.doneT = written.r.Eng.Now() })
+
+	compare := func(stage string) {
+		t.Helper()
+		if got, want := touched.r.Eng.Pending(), written.r.Eng.Pending(); got != want {
+			t.Errorf("%s: %d events pending after Touch, %d after WriteOwned", stage, got, want)
+		}
+		touched.r.Eng.Run()
+		written.r.Eng.Run()
+		if got, want := touched.r.Eng.Dispatched(), written.r.Eng.Dispatched(); got != want {
+			t.Errorf("%s: %d events dispatched after Touch, %d after WriteOwned", stage, got, want)
+		}
+		if got, want := fmt.Sprint(lruBlocks(touched.c)), fmt.Sprint(lruBlocks(written.c)); got != want {
+			t.Errorf("%s: LRU after Touch %s, after WriteOwned %s", stage, got, want)
+		}
+		_, _, wbT := touched.c.Stats()
+		_, _, wbW := written.c.Stats()
+		if wbT != wbW {
+			t.Errorf("%s: %d write-backs after Touch, %d after WriteOwned", stage, wbT, wbW)
+		}
+	}
+	compare("touch")
+	if touched.doneT < 0 || touched.doneT != written.doneT {
+		t.Errorf("Touch completed at %v ms, WriteOwned at %v ms", touched.doneT, written.doneT)
+	}
+	if after, _ := touched.c.Peek(2); &after[0] != &before[0] {
+		t.Error("Touch replaced the cached buffer")
+	}
+	if touched.c.DirtyLen() != 1 {
+		t.Errorf("%d dirty blocks after Touch, want 1", touched.c.DirtyLen())
+	}
+	for _, s := range []*side{touched, written} {
+		for b := int64(10); b < 18; b++ { // capacity 8: evicts all four, the touched block last
+			s.c.WriteOwned(b, block(s.r, byte(b)), nil)
+		}
+	}
+	compare("evict")
+	touched.c.Sync(nil)
+	written.c.Sync(nil)
+	compare("sync")
+}
+
+// TestTouchNonResident checks that touching a block the cache does not
+// hold reports false and changes nothing: no entry, no event, no
+// statistics, no completion.
+func TestTouchNonResident(t *testing.T) {
+	r, c := newRig(t)
+	c.WriteOwned(1, block(r, 1), nil)
+	r.Eng.Run()
+	lru := fmt.Sprint(lruBlocks(c))
+	h, m, wb := c.Stats()
+	dispatched := r.Eng.Dispatched()
+	fired := false
+	if c.Touch(99, func(error) { fired = true }) {
+		t.Fatal("Touch of a non-resident block returned true")
+	}
+	if r.Eng.Pending() != 0 {
+		t.Errorf("Touch scheduled %d events", r.Eng.Pending())
+	}
+	r.Eng.Run()
+	if fired || r.Eng.Dispatched() != dispatched {
+		t.Error("Touch of a non-resident block fired a completion")
+	}
+	if got := fmt.Sprint(lruBlocks(c)); got != lru {
+		t.Errorf("LRU changed: %s, was %s", got, lru)
+	}
+	if h2, m2, wb2 := c.Stats(); h2 != h || m2 != m || wb2 != wb {
+		t.Errorf("stats changed: (%d, %d, %d), were (%d, %d, %d)", h2, m2, wb2, h, m, wb)
+	}
+	if _, ok := c.Peek(99); ok {
+		t.Error("Touch made the block resident")
 	}
 }

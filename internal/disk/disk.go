@@ -17,6 +17,7 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/fault"
@@ -397,7 +398,7 @@ func (d *Disk) writeData(sector int64, data []byte) {
 		chunk := data[i*geom.SectorSize : (i+1)*geom.SectorSize]
 		page, ok := d.pages[key]
 		if !ok {
-			if allZero(chunk) {
+			if bytes.Equal(chunk, zeroSector[:]) {
 				continue
 			}
 			page = make([]byte, pageSectors*geom.SectorSize)
@@ -408,14 +409,9 @@ func (d *Disk) writeData(sector int64, data []byte) {
 	}
 }
 
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
+// zeroSector is the all-zero sector writeData compares against, so the
+// zero test runs at memequal speed.
+var zeroSector [geom.SectorSize]byte
 
 // PeekData returns the stored contents of a sector range without
 // advancing the mechanical model. It is intended for tests and tools.

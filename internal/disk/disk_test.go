@@ -91,6 +91,54 @@ func TestPartialOverwrite(t *testing.T) {
 	}
 }
 
+// TestSparseZeroWrites pins the sparse store: an all-zero sector
+// written to a page that was never materialized leaves it absent, one
+// non-zero byte anywhere in the sector materializes it, and zeros
+// written to a materialized page overwrite what is there.
+func TestSparseZeroWrites(t *testing.T) {
+	sector := func(off int, b byte) []byte {
+		s := make([]byte, geom.SectorSize)
+		s[off] = b
+		return s
+	}
+	const at = 5 * pageSectors // first sector of page 5
+	cases := []struct {
+		name    string
+		prior   []byte // written first, at sector at+priorAt, when set
+		priorAt int64
+		data    []byte // then written at sector at
+		pages   int
+	}{
+		{"zero sector, fresh page", nil, 0, sector(0, 0), 0},
+		{"non-zero byte at offset 0", nil, 0, sector(0, 0x01), 1},
+		{"non-zero byte at offset 511", nil, 0, sector(geom.SectorSize-1, 0x80), 1},
+		{"zero sector, materialized page", sector(7, 0xEE), 1, sector(0, 0), 1},
+		{"zero sector over data", sector(3, 0x42), 0, sector(0, 0), 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := MustNew(Toshiba())
+			if c.prior != nil {
+				if _, err := d.Write(0, at+c.priorAt, 1, c.prior); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := d.Write(0, at, 1, c.data); err != nil {
+				t.Fatal(err)
+			}
+			if len(d.pages) != c.pages {
+				t.Errorf("%d pages materialized, want %d", len(d.pages), c.pages)
+			}
+			if got := d.PeekData(at, 1); !bytes.Equal(got, c.data) {
+				t.Error("sector does not read back as written")
+			}
+			if c.priorAt != 0 && !bytes.Equal(d.PeekData(at+c.priorAt, 1), c.prior) {
+				t.Error("neighbouring sector changed")
+			}
+		})
+	}
+}
+
 func TestRangeValidation(t *testing.T) {
 	d := MustNew(Toshiba())
 	total := d.Geom().TotalSectors()

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/rig"
@@ -733,37 +734,43 @@ func TestFreeBlocksNeverNegative(t *testing.T) {
 	}
 }
 
-// A fully cached single-block read on a noatime mount must cost
-// exactly one allocation: the result slice handed to done. The walk
-// record and its callbacks are pooled (see readReq), and the cache's
-// hit delivery is pooled one layer down — this is the floor that keeps
-// read-heavy simulated workloads out of the garbage collector.
+// A fully cached single-block read must cost exactly one allocation:
+// the result slice handed to done. The walk record and its callbacks
+// are pooled (see readReq), and the cache's hit delivery is pooled one
+// layer down — this is the floor that keeps read-heavy simulated
+// workloads out of the garbage collector. It holds with access times on
+// too: touching the resident inode block only marks it dirty and
+// encodes nothing.
 func TestReadAtWarmOneAlloc(t *testing.T) {
-	r, err := rig.New(rig.Options{ReservedCyls: 48})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := Newfs(r.Eng, r.Driver, 0, Params{NoAtime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Eng.Run()
-	mustCreate(t, r, f, "/warm")
-	h := mustOpen(t, r, f, "/warm")
-	mustWrite(t, r, h, 0, 1)
-	done := func(out [][]byte, err error) {
-		if err != nil || len(out) != 1 {
-			t.Fatal("bad read completion")
-		}
-	}
-	op := func() {
-		h.ReadAt(0, 1, done)
-		r.Eng.Run()
-	}
-	for i := 0; i < 16; i++ {
-		op()
-	}
-	if n := testing.AllocsPerRun(200, op); n > 1 {
-		t.Errorf("warm ReadAt round trip: %v allocs, want at most 1 (the result slice)", n)
+	for _, noAtime := range []bool{true, false} {
+		t.Run(fmt.Sprintf("noatime=%v", noAtime), func(t *testing.T) {
+			r, err := rig.New(rig.Options{ReservedCyls: 48})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := Newfs(r.Eng, r.Driver, 0, Params{NoAtime: noAtime})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Eng.Run()
+			mustCreate(t, r, f, "/warm")
+			h := mustOpen(t, r, f, "/warm")
+			mustWrite(t, r, h, 0, 1)
+			done := func(out [][]byte, err error) {
+				if err != nil || len(out) != 1 {
+					t.Fatal("bad read completion")
+				}
+			}
+			op := func() {
+				h.ReadAt(0, 1, done)
+				r.Eng.Run()
+			}
+			for i := 0; i < 16; i++ {
+				op()
+			}
+			if n := testing.AllocsPerRun(200, op); n > 1 {
+				t.Errorf("warm ReadAt round trip: %v allocs, want at most 1 (the result slice)", n)
+			}
+		})
 	}
 }

@@ -126,8 +126,7 @@ func (f *FS) Lookup(path string, done func(Ino, error)) {
 // (access-time updates); the update daemon flushes them later.
 func (f *FS) touchWalk(path string) {
 	cur := f.inodes[RootIno]
-	ib := f.inodeBlockOf(RootIno)
-	f.meta.WriteOwned(ib, f.encodeInodeBlock(ib), nil)
+	f.touchInodeBlock(f.inodeBlockOf(RootIno))
 	for _, comp := range split(path) {
 		next, ok := cur.entries[comp]
 		if !ok {
@@ -137,9 +136,18 @@ func (f *FS) touchWalk(path string) {
 		if nd == nil || !nd.dir {
 			return
 		}
-		ib := f.inodeBlockOf(nd.ino)
-		f.meta.WriteOwned(ib, f.encodeInodeBlock(ib), nil)
+		f.touchInodeBlock(f.inodeBlockOf(nd.ino))
 		cur = nd
+	}
+}
+
+// touchInodeBlock dirties an inode block for an access-time update. The
+// inode encoding has no access time, so a resident block already holds
+// exactly what a fresh encode would produce and only needs marking
+// dirty; a block the cache has evicted is encoded again.
+func (f *FS) touchInodeBlock(ib int64) {
+	if !f.meta.Touch(ib, nil) {
+		f.meta.WriteOwned(ib, f.encodeInodeBlock(ib), nil)
 	}
 }
 
@@ -503,8 +511,7 @@ func (r *readReq) step() {
 	if r.b == r.idx+r.n {
 		f := r.f
 		if !f.prm.NoAtime {
-			ib := f.inodeBlockOf(r.ino)
-			f.meta.WriteOwned(ib, f.encodeInodeBlock(ib), nil)
+			f.touchInodeBlock(f.inodeBlockOf(r.ino))
 		}
 		r.finish(r.out, nil)
 		return

@@ -140,6 +140,10 @@ type Options struct {
 	// BlockSize is the file system block size; zero selects 8 KB.
 	BlockSize geom.BlockSize
 	// Sched is the per-member head-scheduling policy; nil selects SCAN.
+	// A policy of package sched is rebuilt from its name for every
+	// member, so a stateful SCAN sweeps each member's queue on its own.
+	// Any other Scheduler is handed to every member as given and must
+	// keep its state per queue itself.
 	Sched sched.Scheduler
 	// RequestTableSize overrides each member driver's monitoring table.
 	RequestTableSize int
@@ -330,7 +334,7 @@ func New(opts Options) (*Volume, error) {
 			Disk:             opts.Disk,
 			ReservedCyls:     opts.ReservedCyls,
 			BlockSize:        opts.BlockSize,
-			Sched:            opts.Sched,
+			Sched:            memberSched(opts.Sched),
 			RequestTableSize: opts.RequestTableSize,
 			Fault:            plan,
 		})
@@ -446,6 +450,17 @@ func New(opts Options) (*Volume, error) {
 	}
 	v.lbl = lbl
 	return v, nil
+}
+
+// memberSched returns one member's scheduler for the Sched option (see
+// Options.Sched). nil stays nil: the rig builds its own SCAN.
+func memberSched(s sched.Scheduler) sched.Scheduler {
+	switch s.(type) {
+	case sched.FCFS, *sched.SCAN, sched.CSCAN, sched.SSTF:
+		fresh, _ := sched.New(s.Name()) // the package's own names always resolve
+		return fresh
+	}
+	return s
 }
 
 // Run drives the simulation until every engine is quiescent: the

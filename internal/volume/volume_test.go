@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/geom"
+	"repro/internal/sched"
 )
 
 func blockOf(b byte) []byte { return bytes.Repeat([]byte{b}, geom.Block8K.Bytes()) }
@@ -308,6 +309,53 @@ func TestLabelCoversVolume(t *testing.T) {
 		}
 		if got := v.Label().VirtualSectors(); got < p.Start+p.Size {
 			t.Errorf("%s: label %d sectors cannot hold partition", opts.Layout, got)
+		}
+	}
+}
+
+// TestMembersSweepIndependently hands the volume one SCAN instance and
+// checks that every member sweeps on its own. Member 1, parked at the
+// top, turns downward first; member 0, parked mid-disk with work on
+// both sides, must still sweep upward as a fresh SCAN does. A shared
+// instance would carry member 1's direction over and send member 0
+// down first.
+func TestMembersSweepIndependently(t *testing.T) {
+	v := mustNew(t, Options{Layout: Stripe, Disks: 2, StripeUnit: 16, Sched: sched.NewSCAN()})
+	g := v.Members[0].Driver.Disk().Geom()
+	mid, top := g.Cylinders/2, g.Cylinders-1
+	v.Members[0].Driver.Disk().ParkHead(mid)
+	v.Members[1].Driver.Disk().ParkHead(top)
+	var order [2][]int
+	issue := func(m, cyl int, then func()) {
+		v.Members[m].Driver.Physio(false, g.FirstSectorOfCyl(cyl), 1, nil, func(_ []byte, err error) {
+			if err != nil {
+				t.Errorf("member %d, cylinder %d: %v", m, cyl, err)
+			}
+			order[m] = append(order[m], cyl)
+			if then != nil {
+				then()
+			}
+		})
+	}
+	issue(1, top, func() {
+		issue(0, mid, nil)
+		issue(0, mid-100, nil)
+		issue(0, mid+100, nil)
+	})
+	issue(1, 100, nil)
+	issue(1, 50, nil)
+	v.Eng.Run()
+
+	want := [2][]int{{mid, mid + 100, mid - 100}, {top, 100, 50}}
+	for m := range want {
+		if len(order[m]) != len(want[m]) {
+			t.Fatalf("member %d serviced %v, want %v", m, order[m], want[m])
+		}
+		for i := range want[m] {
+			if order[m][i] != want[m][i] {
+				t.Errorf("member %d serviced %v, want %v", m, order[m], want[m])
+				break
+			}
 		}
 	}
 }
