@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/adler32"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -53,15 +54,26 @@ type Entry struct {
 // the driver serializes access as the kernel would.
 type Table struct {
 	blockSectors int
-	byOrig       map[int64]*Entry
-	byNew        map[int64]*Entry
+	byOrig       map[int64]int64 // original address -> reserved slot
+	byNew        map[int64]int64 // reserved slot -> original address
 
-	// order holds the entries sorted by original address, maintained
-	// incrementally by Add/Remove. The driver serializes (and the
-	// arranger diffs) the table once per block movement, so keeping the
-	// order sorted at mutation time turns every Entries/Encode call from
-	// an O(n log n) reflection sort into a straight copy.
-	order []*Entry
+	// enc is the entry section of the on-disk image: every entry
+	// encoded in entrySize bytes, sorted by original address. The driver
+	// writes the table once per block movement (Section 4.1.3), so each
+	// mutation updates the image and its checksum in place and EncodeTo
+	// only copies it, instead of re-encoding and re-checksumming every
+	// entry per movement.
+	enc []byte
+	// sums holds each encoded entry's byte sum and total their sum; the
+	// checksum updates weight the bytes in front of the changed entry
+	// by their sum.
+	sums  []uint16
+	total uint64
+	// asum and wsum are the two Adler-32 running sums of enc alone,
+	// mod adlerMod: asum = Σ b_i and wsum = Σ (len(enc)−i)·b_i. The
+	// entries are the tail of the checksummed region, so their weights
+	// do not depend on the generation bytes EncodeTo folds in.
+	asum, wsum uint32
 
 	// Gen is the table's generation stamp. The driver increments it on
 	// every committed table write; recovery picks the on-disk slot with
@@ -74,8 +86,8 @@ type Table struct {
 func New(bs geom.BlockSize) *Table {
 	return &Table{
 		blockSectors: bs.Sectors(),
-		byOrig:       make(map[int64]*Entry),
-		byNew:        make(map[int64]*Entry),
+		byOrig:       make(map[int64]int64),
+		byNew:        make(map[int64]int64),
 	}
 }
 
@@ -99,101 +111,191 @@ func (t *Table) Add(orig, new int64) error {
 	if _, ok := t.byNew[new]; ok {
 		return fmt.Errorf("blocktable: reserved slot %d is already occupied", new)
 	}
-	e := &Entry{Orig: orig, New: new}
-	t.byOrig[orig] = e
-	t.byNew[new] = e
-	// Insert into the sorted order: binary search for the position.
-	lo, hi := 0, len(t.order)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.order[mid].Orig < orig {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	t.order = append(t.order, nil)
-	copy(t.order[lo+1:], t.order[lo:])
-	t.order[lo] = e
+	t.byOrig[orig] = new
+	t.byNew[new] = orig
+
+	p := t.index(orig)
+	var x [entrySize]byte
+	binary.BigEndian.PutUint64(x[0:], uint64(orig))
+	binary.BigEndian.PutUint64(x[8:], uint64(new))
+	sum, wsum := entrySums(x[:], len(t.sums)+1-p)
+	t.wsum = addMod(t.wsum, entrySize*t.prefix(p)+wsum)
+	t.asum = addMod(t.asum, sum)
+	t.enc = slices.Insert(t.enc, p*entrySize, x[:]...)
+	t.sums = slices.Insert(t.sums, p, uint16(sum))
+	t.total += sum
 	return nil
 }
 
 // Remove deletes the mapping for the block at orig. It returns the
 // removed entry and whether it existed.
 func (t *Table) Remove(orig int64) (Entry, bool) {
-	e, ok := t.byOrig[orig]
+	new, ok := t.byOrig[orig]
 	if !ok {
 		return Entry{}, false
 	}
 	delete(t.byOrig, orig)
-	delete(t.byNew, e.New)
-	lo, hi := 0, len(t.order)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.order[mid].Orig < orig {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	copy(t.order[lo:], t.order[lo+1:])
-	t.order[len(t.order)-1] = nil
-	t.order = t.order[:len(t.order)-1]
-	return *e, true
+	delete(t.byNew, new)
+
+	p := t.index(orig)
+	e := t.entry(p)
+	x := t.enc[p*entrySize : (p+1)*entrySize]
+	sum, wsum := entrySums(x, len(t.sums)-p)
+	t.wsum = subMod(t.wsum, entrySize*t.prefix(p)+wsum)
+	t.asum = subMod(t.asum, sum)
+	t.enc = slices.Delete(t.enc, p*entrySize, (p+1)*entrySize)
+	t.sums = slices.Delete(t.sums, p, p+1)
+	t.total -= sum
+	return e, true
 }
 
 // Lookup returns the reserved-region address of the block at orig, if it
 // has been rearranged.
 func (t *Table) Lookup(orig int64) (int64, bool) {
-	e, ok := t.byOrig[orig]
-	if !ok {
-		return 0, false
-	}
-	return e.New, true
+	new, ok := t.byOrig[orig]
+	return new, ok
 }
 
 // ReverseLookup returns the original address of the block occupying the
 // reserved slot new, if any.
 func (t *Table) ReverseLookup(new int64) (int64, bool) {
-	e, ok := t.byNew[new]
-	if !ok {
-		return 0, false
-	}
-	return e.Orig, true
+	orig, ok := t.byNew[new]
+	return orig, ok
 }
 
 // MarkDirty sets the dirty bit of the block at orig. It reports whether
 // the block is in the table.
 func (t *Table) MarkDirty(orig int64) bool {
-	e, ok := t.byOrig[orig]
-	if ok {
-		e.Dirty = true
+	if _, ok := t.byOrig[orig]; !ok {
+		return false
 	}
-	return ok
+	if p := t.index(orig); !t.dirty(p) {
+		t.setDirty(p)
+	}
+	return true
 }
 
 // IsDirty reports the dirty bit of the block at orig.
 func (t *Table) IsDirty(orig int64) bool {
-	e, ok := t.byOrig[orig]
-	return ok && e.Dirty
+	_, ok := t.byOrig[orig]
+	return ok && t.dirty(t.index(orig))
 }
 
 // MarkAllDirty sets every entry's dirty bit. Recovery uses this so that
 // updates to repositioned blocks survive a crash even if the on-disk
 // dirty bits were stale.
 func (t *Table) MarkAllDirty() {
-	for _, e := range t.byOrig {
-		e.Dirty = true
+	for p := range t.sums {
+		if !t.dirty(p) {
+			t.setDirty(p)
+		}
 	}
 }
 
 // Entries returns the table contents sorted by original address.
 func (t *Table) Entries() []Entry {
-	out := make([]Entry, len(t.order))
-	for i, e := range t.order {
-		out[i] = *e
+	out := make([]Entry, len(t.sums))
+	for i := range out {
+		out[i] = t.entry(i)
 	}
 	return out
+}
+
+// entry decodes the entry at position p of the entry section.
+func (t *Table) entry(p int) Entry {
+	x := t.enc[p*entrySize : (p+1)*entrySize]
+	be := binary.BigEndian
+	return Entry{
+		Orig:  int64(be.Uint64(x[0:])),
+		New:   int64(be.Uint64(x[8:])),
+		Dirty: be.Uint16(x[16:])&flagDirty != 0,
+	}
+}
+
+// dirty reports the dirty flag of the entry at position p: bit 0 of
+// its last byte.
+func (t *Table) dirty(p int) bool {
+	return t.enc[p*entrySize+entrySize-1]&flagDirty != 0
+}
+
+// index returns the position of orig in the sorted entry section: the
+// entry's index when present, its insertion point otherwise.
+func (t *Table) index(orig int64) int {
+	lo, hi := 0, len(t.sums)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int64(binary.BigEndian.Uint64(t.enc[mid*entrySize:])) < orig {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// prefix returns the byte sum of the entries before position p,
+// summing whichever side of p is shorter.
+func (t *Table) prefix(p int) uint64 {
+	var s uint64
+	if p <= len(t.sums)/2 {
+		for _, v := range t.sums[:p] {
+			s += uint64(v)
+		}
+		return s
+	}
+	for _, v := range t.sums[p:] {
+		s += uint64(v)
+	}
+	return t.total - s
+}
+
+// setDirty sets the dirty flag of the clean entry at position p. The
+// flag byte's checksum weight is its distance from the end of the entry
+// section.
+func (t *Table) setDirty(p int) {
+	t.enc[p*entrySize+entrySize-1] |= flagDirty
+	t.sums[p]++
+	t.total++
+	t.asum = addMod(t.asum, 1)
+	t.wsum = addMod(t.wsum, uint64(entrySize*(len(t.sums)-p)-(entrySize-1)))
+}
+
+// adlerMod is the Adler-32 modulus.
+const adlerMod = 65521
+
+// entrySums returns the byte sum of one encoded entry and its Adler-32
+// weighted sum when the entry starts k entries from the end of the
+// entry section: Σ_j (entrySize·k − j)·x_j.
+func entrySums(x []byte, k int) (sum, wsum uint64) {
+	var jx uint64
+	for j, b := range x {
+		sum += uint64(b)
+		jx += uint64(j) * uint64(b)
+	}
+	return sum, uint64(entrySize*k)*sum - jx
+}
+
+func addMod(a uint32, v uint64) uint32 {
+	return uint32((uint64(a) + v%adlerMod) % adlerMod)
+}
+
+func subMod(a uint32, v uint64) uint32 {
+	return uint32((uint64(a) + adlerMod - v%adlerMod) % adlerMod)
+}
+
+// checksum returns the Adler-32 of the checksummed region, the
+// generation bytes gen followed by the entry section, from the entry
+// section's running sums. It equals adler32.Checksum over the same
+// bytes.
+func (t *Table) checksum(gen []byte) uint32 {
+	n := uint64(len(gen) + len(t.enc))
+	a := 1 + uint64(t.asum)
+	b := n%adlerMod + uint64(t.wsum)
+	for i, g := range gen {
+		a += uint64(g)
+		b += (n - uint64(i)) % adlerMod * uint64(g)
+	}
+	return uint32(b%adlerMod)<<16 | uint32(a%adlerMod)
 }
 
 // Encoding layout: a header followed by fixed-size entries, padded to a
@@ -245,9 +347,8 @@ func (t *Table) Encode() []byte { return t.EncodeTo(nil) }
 // reuses one scratch buffer across its block-table writes, which would
 // otherwise allocate and zero tens of KB per block movement.
 func (t *Table) EncodeTo(dst []byte) []byte {
-	entries := t.order
-	used := headerSize + len(entries)*entrySize
-	n := EncodedSectors(len(entries)) * geom.SectorSize
+	used := headerSize + len(t.enc)
+	n := EncodedSectors(len(t.sums)) * geom.SectorSize
 	var buf []byte
 	if cap(dst) >= n {
 		buf = dst[:n]
@@ -261,19 +362,10 @@ func (t *Table) EncodeTo(dst []byte) []byte {
 	be.PutUint32(buf[offHdrMagic:], Magic)
 	be.PutUint16(buf[offHdrVersion:], Version)
 	be.PutUint16(buf[offHdrBlkSec:], uint16(t.blockSectors))
-	be.PutUint32(buf[offHdrCount:], uint32(len(entries)))
+	be.PutUint32(buf[offHdrCount:], uint32(len(t.sums)))
 	be.PutUint64(buf[offHdrGen:], t.Gen)
-	for i, e := range entries {
-		o := headerSize + i*entrySize
-		be.PutUint64(buf[o:], uint64(e.Orig))
-		be.PutUint64(buf[o+8:], uint64(e.New))
-		var flags uint16
-		if e.Dirty {
-			flags |= flagDirty
-		}
-		be.PutUint16(buf[o+16:], flags)
-	}
-	be.PutUint32(buf[offHdrCksum:], adler32.Checksum(buf[offHdrGen:used]))
+	copy(buf[headerSize:], t.enc)
+	be.PutUint32(buf[offHdrCksum:], t.checksum(buf[offHdrGen:headerSize]))
 	return buf
 }
 

@@ -97,8 +97,11 @@ func (t Timing) TotalMS() float64 {
 	return t.OverheadMS + t.SeekMS + t.RotMS + t.TransferMS
 }
 
-// pageShift sizes the sparse store pages: 16 sectors = 8 KB per page.
-const pageSectors = 16
+// pageSectors sizes the sparse store pages: 16 sectors = 8 KB per page.
+const (
+	pageSectors = 16
+	pageBytes   = pageSectors * geom.SectorSize
+)
 
 // Disk is a single disk drive instance with mechanical state (head
 // position, rotation) and sparse data storage.
@@ -114,7 +117,7 @@ type Disk struct {
 	seekMS   *seek.Table
 	oneCylMS float64
 
-	pages map[int64][]byte // sparse sector storage, keyed by sector/pageSectors
+	pages map[int64]*[pageBytes]byte // sparse sector storage, keyed by sector/pageSectors
 
 	// Read-ahead buffer state: the half-open sector range currently held
 	// in the drive buffer, and the time at which read-ahead stopped
@@ -147,7 +150,7 @@ func New(m Model) (*Disk, error) {
 	}
 	d := &Disk{
 		model: m,
-		pages: make(map[int64][]byte),
+		pages: make(map[int64]*[pageBytes]byte),
 	}
 	d.seekMS = seek.NewTable(m.Seek, m.Geom.Cylinders-1)
 	d.oneCylMS = d.seekMS.SeekMS(1)
@@ -370,48 +373,51 @@ func (d *Disk) mechanicalService(nowMS float64, sector int64, count int) Timing 
 }
 
 // readData copies count sectors of stored data starting at sector.
-// Unwritten sectors read as zeros.
+// Unwritten sectors read as zeros. It steps one page span at a time: one
+// map lookup and one copy per page.
 func (d *Disk) readData(sector int64, count int) []byte {
 	out := make([]byte, count*geom.SectorSize)
-	for i := 0; i < count; i++ {
-		s := sector + int64(i)
-		page, ok := d.pages[s/pageSectors]
-		if !ok {
-			continue
+	for o := 0; o < len(out); {
+		off := int(sector%pageSectors) * geom.SectorSize
+		n := min(len(out)-o, pageBytes-off)
+		if page, ok := d.pages[sector/pageSectors]; ok {
+			copy(out[o:o+n], page[off:off+n])
 		}
-		off := (s % pageSectors) * geom.SectorSize
-		copy(out[i*geom.SectorSize:(i+1)*geom.SectorSize], page[off:off+geom.SectorSize])
+		o += n
+		sector += int64(n / geom.SectorSize)
 	}
 	return out
 }
 
-// writeData stores data starting at sector, allocating pages as
-// needed. Writing zeros to a sector whose page was never materialized
-// is a no-op: the store is sparse and unwritten sectors already read
-// as zeros, so a whole-device pass (a RAID rebuild copying a mostly
-// empty member onto a spare) does not materialize the empty regions.
+// writeData stores data starting at sector, one page span at a time,
+// allocating pages as needed. Writing zeros to a page that was never
+// materialized is a no-op: the store is sparse and unwritten sectors
+// already read as zeros, so a whole-device pass (a RAID rebuild copying
+// a mostly empty member onto a spare) or the mostly empty slot of a
+// block-table write does not materialize the empty regions. A page
+// therefore stays absent exactly when every sector written to it is
+// zero.
 func (d *Disk) writeData(sector int64, data []byte) {
-	count := len(data) / geom.SectorSize
-	for i := 0; i < count; i++ {
-		s := sector + int64(i)
-		key := s / pageSectors
-		chunk := data[i*geom.SectorSize : (i+1)*geom.SectorSize]
-		page, ok := d.pages[key]
-		if !ok {
-			if bytes.Equal(chunk, zeroSector[:]) {
-				continue
-			}
-			page = make([]byte, pageSectors*geom.SectorSize)
-			d.pages[key] = page
+	for len(data) > 0 {
+		off := int(sector%pageSectors) * geom.SectorSize
+		n := min(len(data), pageBytes-off)
+		span := data[:n]
+		page := d.pages[sector/pageSectors]
+		if page == nil && !bytes.Equal(span, zeroPage[:n]) {
+			page = new([pageBytes]byte)
+			d.pages[sector/pageSectors] = page
 		}
-		off := (s % pageSectors) * geom.SectorSize
-		copy(page[off:off+geom.SectorSize], chunk)
+		if page != nil {
+			copy(page[off:], span)
+		}
+		data = data[n:]
+		sector += int64(n / geom.SectorSize)
 	}
 }
 
-// zeroSector is the all-zero sector writeData compares against, so the
+// zeroPage is the all-zero page span writeData compares against, so the
 // zero test runs at memequal speed.
-var zeroSector [geom.SectorSize]byte
+var zeroPage [pageBytes]byte
 
 // PeekData returns the stored contents of a sector range without
 // advancing the mechanical model. It is intended for tests and tools.

@@ -193,9 +193,9 @@ func Newfs(eng *sim.Engine, drv driver.BlockDevice, part int, prm Params) (*FS, 
 	// root's inode block.
 	var steps []step
 	for gi := range f.groups {
-		steps = append(steps, step{block: f.groups[gi].base, data: f.encodeDescriptor(gi), meta: true})
+		steps = append(steps, f.descStep(gi))
 	}
-	steps = append(steps, step{block: f.inodeBlockOf(RootIno), data: f.encodeInodeBlock(f.inodeBlockOf(RootIno)), meta: true})
+	steps = append(steps, inodeStep(f.inodeBlockOf(RootIno)))
 	f.runSeq(steps, nil)
 	return f, nil
 }
@@ -338,21 +338,60 @@ func (f *FS) inoOf(gi, idx int) Ino {
 	return Ino(gi*len(f.groups[0].inodeUsed) + idx)
 }
 
-// step is one cache operation of an I/O sequence: a read (data == nil)
-// or a write of the given serialized content. meta routes the operation
-// through the metadata cache.
+// step is one cache operation of an I/O sequence: a metadata read, or
+// a write named by its kind and argument rather than by its bytes.
+// runSeq encodes a write when the step runs, not when its operation
+// starts, so when two overlapping operations rewrite one metadata
+// block, the write that lands last carries the newest state. Data
+// writes go through the data cache, everything else through the
+// metadata cache.
 type step struct {
 	block int64
-	data  []byte
-	meta  bool
+	nd    *inode // stepData, stepDir, stepIndirect
+	arg   int64  // stepData: file block; stepDir: directory block; stepDesc: group
+	kind  stepKind
 }
 
-// cacheFor selects the cache a step goes through.
-func (f *FS) cacheFor(meta bool) *cache.Cache {
-	if meta {
-		return f.meta
+// stepKind says what a step does.
+type stepKind uint8
+
+const (
+	stepRead     stepKind = iota // read the metadata block
+	stepData                     // write file block arg of nd (its data pattern)
+	stepInode                    // write the inode-table block
+	stepDir                      // write directory block arg of nd
+	stepIndirect                 // write nd's indirect block
+	stepDesc                     // write the descriptor of group arg
+)
+
+func inodeStep(ib int64) step { return step{block: ib, kind: stepInode} }
+
+func dirStep(nd *inode, idx int) step {
+	return step{block: nd.direct[idx], nd: nd, arg: int64(idx), kind: stepDir}
+}
+
+func indirectStep(nd *inode) step {
+	return step{block: nd.indirect, nd: nd, kind: stepIndirect}
+}
+
+func (f *FS) descStep(gi int) step {
+	return step{block: f.groups[gi].base, arg: int64(gi), kind: stepDesc}
+}
+
+// encodeStep returns the current image of a write step's block.
+func (f *FS) encodeStep(s *step) []byte {
+	switch s.kind {
+	case stepData:
+		return f.dataPattern(s.nd.ino, s.arg)
+	case stepInode:
+		return f.encodeInodeBlock(s.block)
+	case stepDir:
+		return f.encodeDirBlock(s.nd, int(s.arg))
+	case stepIndirect:
+		return f.encodeIndirect(s.nd.iblock)
+	default:
+		return f.encodeDescriptor(int(s.arg))
 	}
-	return f.cache
 }
 
 // runSeq performs the steps strictly in order through the buffer cache
@@ -368,8 +407,11 @@ func (f *FS) runSeq(steps []step, done func(error)) {
 			}
 			return
 		}
-		s := steps[i]
-		c := f.cacheFor(s.meta)
+		s := &steps[i]
+		c := f.meta
+		if s.kind == stepData {
+			c = f.cache
+		}
 		next := func(err error) {
 			if err != nil {
 				if done != nil {
@@ -380,14 +422,14 @@ func (f *FS) runSeq(steps []step, done func(error)) {
 			run(i + 1)
 		}
 		switch {
-		case s.data == nil:
+		case s.kind == stepRead:
 			c.Read(s.block, func(_ []byte, err error) { next(err) })
-		case !s.meta && f.prm.SyncData:
-			// Step buffers are encoded fresh per operation and never
+		case s.kind == stepData && f.prm.SyncData:
+			// Step buffers are encoded fresh per step and never
 			// touched again, so the cache can take them as-is.
-			c.WriteThroughOwned(s.block, s.data, next)
+			c.WriteThroughOwned(s.block, f.encodeStep(s), next)
 		default:
-			c.WriteOwned(s.block, s.data, next)
+			c.WriteOwned(s.block, f.encodeStep(s), next)
 		}
 	}
 	run(0)

@@ -54,7 +54,7 @@ func split(path string) []string {
 func (f *FS) resolve(path string) (parent *inode, name string, target *inode, rsteps []step, err error) {
 	comps := split(path)
 	cur := f.inodes[RootIno]
-	rsteps = append(rsteps, step{block: f.inodeBlockOf(RootIno), meta: true})
+	rsteps = append(rsteps, step{block: f.inodeBlockOf(RootIno)})
 	if len(comps) == 0 {
 		return nil, "", cur, rsteps, nil
 	}
@@ -71,7 +71,7 @@ func (f *FS) resolve(path string) (parent *inode, name string, target *inode, rs
 		}
 		for b := 0; b <= lastBlk; b++ {
 			if blk := f.blockOf(cur, int64(b)); blk >= 0 {
-				rsteps = append(rsteps, step{block: blk, meta: true})
+				rsteps = append(rsteps, step{block: blk})
 			}
 		}
 		if slot < 0 {
@@ -84,7 +84,7 @@ func (f *FS) resolve(path string) (parent *inode, name string, target *inode, rs
 		if next == nil {
 			return nil, "", nil, rsteps, fmt.Errorf("%w: %q (dangling entry)", ErrNotFound, path)
 		}
-		rsteps = append(rsteps, step{block: f.inodeBlockOf(next.ino), meta: true})
+		rsteps = append(rsteps, step{block: f.inodeBlockOf(next.ino)})
 		parent, name, cur = cur, comp, next
 	}
 	return parent, name, cur, rsteps, nil
@@ -220,7 +220,7 @@ func (f *FS) create(path string, dir bool, done func(Ino, error)) {
 		f.fail2(done, err)
 		return
 	}
-	wsteps = append(wsteps, step{block: f.inodeBlockOf(ino), data: f.encodeInodeBlock(f.inodeBlockOf(ino)), meta: true})
+	wsteps = append(wsteps, inodeStep(f.inodeBlockOf(ino)))
 	wsteps = append(wsteps, f.descSteps(dirty)...)
 	f.runSeq(append(rsteps, wsteps...), func(serr error) {
 		if done != nil {
@@ -256,8 +256,8 @@ func (f *FS) addEntry(parent *inode, name string, ino Ino, dirty map[int]bool) (
 	parent.order = append(parent.order, name)
 	parent.size = int64(len(parent.order))
 	return []step{
-		{block: parent.direct[blkIdx], data: f.encodeDirBlock(parent, blkIdx), meta: true},
-		{block: f.inodeBlockOf(parent.ino), data: f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), meta: true},
+		dirStep(parent, blkIdx),
+		inodeStep(f.inodeBlockOf(parent.ino)),
 	}, nil
 }
 
@@ -267,7 +267,7 @@ func (f *FS) descSteps(dirty map[int]bool) []step {
 	var out []step
 	for gi := range f.groups {
 		if dirty[gi] {
-			out = append(out, step{block: f.groups[gi].base, data: f.encodeDescriptor(gi), meta: true})
+			out = append(out, f.descStep(gi))
 		}
 	}
 	return out
@@ -293,7 +293,7 @@ func (f *FS) ReadDir(path string, done func([]string, error)) {
 	}
 	for b, n := int64(0), f.nblocksOf(target); b < n; b++ {
 		if blk := f.blockOf(target, b); blk >= 0 {
-			rsteps = append(rsteps, step{block: blk, meta: true})
+			rsteps = append(rsteps, step{block: blk})
 		}
 	}
 	names := append([]string(nil), target.order...)
@@ -345,7 +345,7 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 	perGroup := len(f.groups[0].inodeUsed)
 	gi := int(h.ino) / perGroup
 	dirty := map[int]bool{}
-	steps := []step{{block: f.inodeBlockOf(h.ino), meta: true}} // read inode first
+	steps := []step{{block: f.inodeBlockOf(h.ino)}} // read inode first
 	indirectTouched := false
 	indirectRead := false
 
@@ -361,7 +361,7 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 			indirectTouched = true
 		}
 		if b >= NDirect && !indirectRead && !indirectTouched {
-			steps = append(steps, step{block: nd.indirect, meta: true})
+			steps = append(steps, step{block: nd.indirect})
 			indirectRead = true
 		}
 		blk := f.blockOf(nd, b)
@@ -387,16 +387,16 @@ func (h *Handle) WriteAt(idx, n int64, done func(error)) {
 				indirectTouched = true
 			}
 		}
-		steps = append(steps, step{block: blk, data: f.dataPattern(h.ino, b)})
+		steps = append(steps, step{block: blk, nd: nd, arg: b, kind: stepData})
 	}
 	if idx+n > nd.size {
 		nd.size = idx + n
 	}
 	if indirectTouched {
-		steps = append(steps, step{block: nd.indirect, data: f.encodeIndirect(nd.iblock), meta: true})
+		steps = append(steps, indirectStep(nd))
 	}
 	// Inode update (size, mtime).
-	steps = append(steps, step{block: f.inodeBlockOf(h.ino), data: f.encodeInodeBlock(f.inodeBlockOf(h.ino)), meta: true})
+	steps = append(steps, inodeStep(f.inodeBlockOf(h.ino)))
 	steps = append(steps, f.descSteps(dirty)...)
 	f.runSeq(steps, done)
 }
@@ -583,9 +583,9 @@ func (f *FS) Remove(path string, done func(error)) {
 	parent.size = int64(len(parent.order))
 
 	var wsteps []step
-	wsteps = append(wsteps, step{block: parent.direct[slot/per], data: f.encodeDirBlock(parent, slot/per), meta: true})
+	wsteps = append(wsteps, dirStep(parent, slot/per))
 	if last/per != slot/per {
-		wsteps = append(wsteps, step{block: parent.direct[last/per], data: f.encodeDirBlock(parent, last/per), meta: true})
+		wsteps = append(wsteps, dirStep(parent, last/per))
 	}
 	// Free the parent's last directory block if it emptied.
 	if last%per == 0 && last/per > 0 {
@@ -596,8 +596,8 @@ func (f *FS) Remove(path string, done func(error)) {
 		dirty[f.groupOf(freed)] = true
 	}
 	wsteps = append(wsteps,
-		step{block: f.inodeBlockOf(parent.ino), data: f.encodeInodeBlock(f.inodeBlockOf(parent.ino)), meta: true},
-		step{block: targetIB, data: f.encodeInodeBlock(targetIB), meta: true},
+		inodeStep(f.inodeBlockOf(parent.ino)),
+		inodeStep(targetIB),
 	)
 	wsteps = append(wsteps, f.descSteps(dirty)...)
 	f.runSeq(append(rsteps, wsteps...), done)
